@@ -1,7 +1,7 @@
 // Command pvbench regenerates the experiment tables X1-X15: the empirical
 // counterparts of the paper's analytical claims (X1-X6) plus the service
-// layer's scaling experiments (X7 checking throughput, X8 zero-copy byte
-// path, X9 completion throughput, X10 sharded two-tier schema store,
+// layer's scaling experiments (X7 checking throughput, X9 completion
+// throughput, X10 sharded two-tier schema store,
 // X11 async job-queue ingest, X12 durable-job write-ahead log, X13
 // bounded-memory streaming checker, X14 verdict-receipt overhead, X15
 // two-tier DFA fast path vs recognizer-only checking).
@@ -9,7 +9,7 @@
 // Usage:
 //
 //	pvbench [-quick] [-json] [-stream-file-mb N]
-//	        [-only linear,earley,depth,dtdsize,updates,closure,throughput,bytepath,completion,schemastore,asyncingest,durability,streaming,receipt,twotier]
+//	        [-only linear,earley,depth,dtdsize,updates,closure,throughput,completion,schemastore,asyncingest,durability,streaming,receipt,twotier]
 //
 // -json emits the selected tables as a JSON array (the format committed
 // under bench/, e.g. bench/X9.json, bench/X12.json and bench/X13.json).
@@ -52,8 +52,7 @@ func main() {
 	trials := 40
 	workerCounts := []int{1, 2, 4, 8}
 	corpus := 256
-	bytePathCorpus := 1000 // X8's acceptance corpus size
-	schemaCount := 16      // X10's mixed-schema population
+	schemaCount := 16 // X10's mixed-schema population
 	shardCounts := []int{1, 2, 4, 8}
 	streamMemMB := 8 // X13's in-cache document (the 15% acceptance bar)
 	tputBudget := 1 * time.Second
@@ -66,7 +65,6 @@ func main() {
 		updSizes = []int{500, 4000}
 		trials = 5
 		corpus = 48
-		bytePathCorpus = 128
 		schemaCount = 6
 		shardCounts = []int{1, 4}
 		tputBudget = 25 * time.Millisecond
@@ -85,7 +83,6 @@ func main() {
 		{"updates", func() *bench.Table { return bench.UpdateCosts(updSizes, budget) }},
 		{"closure", func() *bench.Table { return bench.StripClosure(fracs, trials, budget) }},
 		{"throughput", func() *bench.Table { return bench.Throughput(workerCounts, corpus, tputBudget) }},
-		{"bytepath", func() *bench.Table { return bench.BytePath(bytePathCorpus, tputBudget) }},
 		{"completion", func() *bench.Table { return bench.CompletionThroughput(workerCounts, corpus, tputBudget) }},
 		{"schemastore", func() *bench.Table { return bench.SchemaStore(shardCounts, schemaCount, corpus, tputBudget) }},
 		{"asyncingest", func() *bench.Table { return bench.AsyncIngest(workerCounts, corpus, tputBudget) }},

@@ -32,7 +32,11 @@ func ParseDocumentFile(path string) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ParseDocument(string(data))
+	doc, err := dom.ParseBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	return &Document{root: doc.Root}, nil
 }
 
 // MustParseDocument is ParseDocument that panics on error.

@@ -99,8 +99,7 @@ func PVCheck(args []string, stdout, stderr io.Writer) int {
 			fail(2)
 			continue
 		}
-		src := string(data)
-		res, err := schema.CheckString(src)
+		res, err := schema.CheckBytes(data)
 		if err != nil {
 			fmt.Fprintf(stderr, "pvcheck: %s: %v\n", path, err)
 			fail(2)
@@ -112,7 +111,7 @@ func PVCheck(args []string, stdout, stderr io.Writer) int {
 		case res.PotentiallyValid:
 			fmt.Fprintf(stdout, "%s: potentially valid (encoding incomplete)\n", path)
 			if *completeFlag {
-				doc, err := pv.ParseDocument(src)
+				doc, err := pv.ParseDocument(string(data))
 				if err == nil {
 					if ext, inserted, err := schema.Complete(doc); err == nil {
 						fmt.Fprintf(stdout, "%s: completion (+%d elements): %s\n", path, inserted, ext)

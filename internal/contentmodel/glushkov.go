@@ -236,6 +236,8 @@ type DeterminismViolation struct {
 	Context string
 }
 
+// String renders the violation as a one-line diagnostic naming the
+// ambiguous symbol and where the ambiguity arises.
 func (v DeterminismViolation) String() string {
 	return fmt.Sprintf("content model is not deterministic: symbol %q is ambiguous in %s", v.Symbol, v.Context)
 }

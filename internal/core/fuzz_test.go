@@ -41,10 +41,11 @@ func FuzzCheckStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, xml string) {
 		for _, s := range schemas {
 			streamErr := s.CheckStream(xml)
-			// The zero-copy byte path must agree with the string path on
-			// acceptance, violation typing and message text.
+			// The string entry point converts once onto the byte path and
+			// must agree with it on acceptance, violation typing and
+			// message text.
 			if byteErr := s.CheckStreamBytes([]byte(xml)); !sameVerdict(streamErr, byteErr) {
-				t.Fatalf("schema %s: string/byte stream paths disagree on %q\n  string: %v\n  bytes:  %v",
+				t.Fatalf("schema %s: string/byte stream entry points disagree on %q\n  string: %v\n  bytes:  %v",
 					s.Root, xml, streamErr, byteErr)
 			}
 			doc, parseErr := dom.Parse(xml)

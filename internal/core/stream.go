@@ -161,23 +161,11 @@ func (c *StreamChecker) violate(format string, args ...any) error {
 	return c.err
 }
 
-// streamText constrains the two document representations the checker
-// accepts: the string compatibility path and the zero-copy byte path. The
-// generic handlers below are the single source of truth for both; the
-// exported methods are thin instantiations, so the paths cannot diverge.
-type streamText interface{ ~string | ~[]byte }
-
-// StartElement processes a start tag.
-func (c *StreamChecker) StartElement(name string) error { return startElement(c, name) }
-
-// StartElementBytes is StartElement on the zero-copy byte path: the name
-// is resolved through the schema's interned-name table without
-// materializing a string (undeclared names only surface inside the
-// violation message). Verdicts and messages are identical to
-// StartElement(string(name)).
-func (c *StreamChecker) StartElementBytes(name []byte) error { return startElement(c, name) }
-
-func startElement[S streamText](c *StreamChecker, name S) error {
+// StartElement processes a start tag. The name is resolved through the
+// schema's interned-name table without materializing a string (undeclared
+// names only surface inside the violation message), and it is never
+// retained, so it may alias a reused lexer buffer.
+func (c *StreamChecker) StartElement(name []byte) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -277,14 +265,9 @@ func (c *StreamChecker) newRecognizer(name string) *Recognizer {
 }
 
 // Text processes a character-data event. Empty and (optionally) whitespace
-// text is invisible; adjacent text events collapse into one σ.
-func (c *StreamChecker) Text(data string) error { return text(c, data) }
-
-// TextBytes is Text on the byte path; the data is only inspected, never
-// retained or converted.
-func (c *StreamChecker) TextBytes(data []byte) error { return text(c, data) }
-
-func text[S streamText](c *StreamChecker, data S) error {
+// text is invisible; adjacent text events collapse into one σ. The data is
+// only inspected, never retained or converted.
+func (c *StreamChecker) Text(data []byte) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -315,14 +298,9 @@ func text[S streamText](c *StreamChecker, data S) error {
 	return nil
 }
 
-// EndElement processes an end tag.
-func (c *StreamChecker) EndElement(name string) error { return endElement(c, name) }
-
-// EndElementBytes is EndElement on the byte path; the open-tag comparison
-// is an allocation-free string/byte equality check.
-func (c *StreamChecker) EndElementBytes(name []byte) error { return endElement(c, name) }
-
-func endElement[S streamText](c *StreamChecker, name S) error {
+// EndElement processes an end tag; the open-tag comparison is an
+// allocation-free string/byte equality check.
+func (c *StreamChecker) EndElement(name []byte) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -370,49 +348,21 @@ func (c *StreamChecker) Close() error {
 	return nil
 }
 
-// CheckStream tokenizes src and runs the streaming check over it — a
-// single-pass Problem PV solver for strings.
-func (s *Schema) CheckStream(src string) error { return s.NewStreamChecker().Run(src) }
+// CheckStream is CheckStreamBytes for a string, converted once.
+func (s *Schema) CheckStream(src string) error { return s.CheckStreamBytes([]byte(src)) }
 
-// CheckStreamBytes is CheckStream on the zero-copy byte path: the document
-// is never copied into a string, token names and data are subslices, and
-// element names resolve through the interned-name table. Verdicts are
-// identical to CheckStream(string(src)).
+// CheckStreamBytes lexes src and runs the streaming check over it — a
+// single-pass Problem PV solver. Token names and data are subslices of
+// src, and element names resolve through the interned-name table.
 func (s *Schema) CheckStreamBytes(src []byte) error { return s.NewStreamChecker().RunBytes(src) }
 
-// Run resets the checker and drives it over src in one pass. It returns nil
-// when the document is potentially valid, a *ViolationError when it is
-// well-formed but not potentially valid, and a plain error for lexical or
-// well-formedness problems.
-func (c *StreamChecker) Run(src string) error {
-	c.Reset()
-	lx := xmltext.NewLexer(src)
-	for {
-		tok, err := lx.Next()
-		if err != nil {
-			return err
-		}
-		if tok == nil {
-			return c.Close()
-		}
-		switch tok.Kind {
-		case xmltext.StartTag:
-			if err := c.StartElement(tok.Name); err != nil {
-				return err
-			}
-		case xmltext.EndTag:
-			if err := c.EndElement(tok.Name); err != nil {
-				return err
-			}
-		case xmltext.Text:
-			if err := c.Text(tok.Data); err != nil {
-				return err
-			}
-		}
-	}
-}
+// Run is RunBytes for a string, converted once.
+func (c *StreamChecker) Run(src string) error { return c.RunBytes([]byte(src)) }
 
-// RunBytes is Run on the zero-copy byte path. The lexer state lives on the
+// RunBytes resets the checker and drives it over src in one pass. It
+// returns nil when the document is potentially valid, a *ViolationError
+// when it is well-formed but not potentially valid, and a plain error for
+// lexical or well-formedness problems. The lexer state lives on the
 // checker's stack frame and tokens are consumed in place, so a potentially
 // valid entity-free document is checked with no per-token allocation.
 func (c *StreamChecker) RunBytes(src []byte) error {
@@ -426,21 +376,24 @@ func (c *StreamChecker) RunBytes(src []byte) error {
 		if tok == nil {
 			return c.Close()
 		}
-		switch tok.Kind {
-		case xmltext.StartTag:
-			if err := c.StartElementBytes(tok.Name); err != nil {
-				return err
-			}
-		case xmltext.EndTag:
-			if err := c.EndElementBytes(tok.Name); err != nil {
-				return err
-			}
-		case xmltext.Text:
-			if err := c.TextBytes(tok.Data); err != nil {
-				return err
-			}
+		if err := c.feed(tok); err != nil {
+			return err
 		}
 	}
+}
+
+// feed dispatches one token to its event handler; tokens the checker does
+// not see (comments, PIs, DOCTYPE) pass through.
+func (c *StreamChecker) feed(tok *xmltext.ByteToken) error {
+	switch tok.Kind {
+	case xmltext.StartTag:
+		return c.StartElement(tok.Name)
+	case xmltext.EndTag:
+		return c.EndElement(tok.Name)
+	case xmltext.Text:
+		return c.Text(tok.Data)
+	}
+	return nil
 }
 
 // RunReader is Run over an io.Reader: the document is lexed through a
@@ -473,19 +426,8 @@ func (c *StreamChecker) RunReaderBuffer(r io.Reader, bufSize int) error {
 		if tok == nil {
 			return c.Close()
 		}
-		switch tok.Kind {
-		case xmltext.StartTag:
-			if err := c.StartElementBytes(tok.Name); err != nil {
-				return err
-			}
-		case xmltext.EndTag:
-			if err := c.EndElementBytes(tok.Name); err != nil {
-				return err
-			}
-		case xmltext.Text:
-			if err := c.TextBytes(tok.Data); err != nil {
-				return err
-			}
+		if err := c.feed(tok); err != nil {
+			return err
 		}
 	}
 }
@@ -494,9 +436,8 @@ func (c *StreamChecker) RunReaderBuffer(r io.Reader, bufSize int) error {
 // O(element depth + window) peak usage regardless of document size.
 func (s *Schema) CheckReader(r io.Reader) error { return s.NewStreamChecker().RunReader(r) }
 
-// isSpace reports whether the text is entirely XML whitespace; shared by
-// the string and byte event paths (and by Δ_T via isWhitespace).
-func isSpace[S streamText](s S) bool {
+// isSpace reports whether the text is entirely XML whitespace.
+func isSpace(s []byte) bool {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case ' ', '\t', '\r', '\n':

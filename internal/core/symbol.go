@@ -80,4 +80,6 @@ func ChildSymbols(n *dom.Node, ignoreWS bool) []Symbol {
 	return out
 }
 
-func isWhitespace(s string) bool { return isSpace(s) }
+// isWhitespace reports whether the text node's data is entirely XML
+// whitespace.
+func isWhitespace(s string) bool { return strings.TrimLeft(s, " \t\r\n") == "" }

@@ -74,7 +74,7 @@ func driveTwoTier(t *testing.T, p twoTierPair, xml string) (error, *StreamChecke
 		c.Reset()
 	}
 	event := 0
-	lx := xmltext.NewLexer(xml)
+	lx := xmltext.NewByteLexer([]byte(xml))
 	for {
 		tok, lexErr := lx.Next()
 		if lexErr != nil || tok == nil {

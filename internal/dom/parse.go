@@ -52,13 +52,14 @@ func (b *treeBuilder) push(n *Node) error {
 	return nil
 }
 
-// add consumes one token. The token may be transient (a reused ByteToken
-// materialized to strings); the builder retains only the strings it is
-// handed.
-func (b *treeBuilder) add(tok *xmltext.Token) error {
+// add consumes one token. The token is transient (the lexer reuses it and
+// its slices may alias the input); the builder materializes as strings only
+// what the tree retains, so end tags are matched without a copy.
+func (b *treeBuilder) add(tok *xmltext.ByteToken) error {
 	switch tok.Kind {
 	case xmltext.StartTag:
-		n := &Node{Kind: ElementNode, Name: tok.Name, Attrs: tok.Attrs}
+		st := tok.Token()
+		n := &Node{Kind: ElementNode, Name: st.Name, Attrs: st.Attrs}
 		if err := b.push(n); err != nil {
 			return err
 		}
@@ -68,19 +69,19 @@ func (b *treeBuilder) add(tok *xmltext.Token) error {
 			return fmt.Errorf("xml: %s: unexpected end tag </%s>", tok.Pos, tok.Name)
 		}
 		top := b.stack[len(b.stack)-1]
-		if top.Name != tok.Name {
+		if top.Name != string(tok.Name) {
 			return fmt.Errorf("xml: %s: end tag </%s> does not match open <%s>", tok.Pos, tok.Name, top.Name)
 		}
 		b.stack = b.stack[:len(b.stack)-1]
 	case xmltext.Text:
-		if tok.Data == "" {
+		if len(tok.Data) == 0 {
 			return nil
 		}
-		return b.push(&Node{Kind: TextNode, Data: tok.Data})
+		return b.push(&Node{Kind: TextNode, Data: string(tok.Data)})
 	case xmltext.Comment:
-		return b.push(&Node{Kind: CommentNode, Data: tok.Data})
+		return b.push(&Node{Kind: CommentNode, Data: string(tok.Data)})
 	case xmltext.ProcInst:
-		return b.push(&Node{Kind: ProcInstNode, Name: tok.Name, Data: tok.Data})
+		return b.push(&Node{Kind: ProcInstNode, Name: string(tok.Name), Data: string(tok.Data)})
 	case xmltext.Doctype:
 		// A DOCTYPE declaration in the instance is tolerated and ignored;
 		// the DTD is supplied separately in this system.
@@ -103,10 +104,16 @@ func (b *treeBuilder) finish() (*Document, error) {
 	return &b.doc, nil
 }
 
-// Parse parses an XML string into a document tree.
-func Parse(src string) (*Document, error) {
+// Parse is ParseBytes for a string, converted once.
+func Parse(src string) (*Document, error) { return ParseBytes([]byte(src)) }
+
+// ParseBytes parses an XML byte slice into a document tree. Tokens come
+// from the zero-copy lexer; only the names, data and attributes the tree
+// actually retains are materialized as strings, so the resulting document
+// does not pin the input buffer.
+func ParseBytes(src []byte) (*Document, error) {
 	var b treeBuilder
-	lx := xmltext.NewLexer(src)
+	lx := xmltext.NewByteLexer(src)
 	for {
 		tok, err := lx.Next()
 		if err != nil {
@@ -116,28 +123,6 @@ func Parse(src string) (*Document, error) {
 			return b.finish()
 		}
 		if err := b.add(tok); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// ParseBytes parses an XML byte slice into a document tree without first
-// copying it into a string. Tokens come from the zero-copy lexer; only the
-// names, data and attributes the tree actually retains are materialized as
-// strings, so the resulting document does not pin the input buffer.
-func ParseBytes(src []byte) (*Document, error) {
-	var b treeBuilder
-	lx := xmltext.NewByteLexer(src)
-	for {
-		bt, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		if bt == nil {
-			return b.finish()
-		}
-		tok := bt.Token()
-		if err := b.add(&tok); err != nil {
 			return nil, err
 		}
 	}

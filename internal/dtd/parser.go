@@ -15,6 +15,7 @@ type ParseError struct {
 	Msg       string
 }
 
+// Error implements the error interface: "dtd: line L, col C: msg".
 func (e *ParseError) Error() string {
 	return fmt.Sprintf("dtd: line %d, col %d: %s", e.Line, e.Col, e.Msg)
 }

@@ -39,13 +39,13 @@ func asBytes(docs []Doc) []Doc {
 	return out
 }
 
-// BenchmarkEngineBatchPath is experiment X8: CheckBatch throughput and
-// allocs/op over a 1k-document mixed corpus, string path versus zero-copy
-// byte path, in both verdict modes. The acceptance bar is >=30% fewer
-// allocs/op for bytes (TestBytePathAllocReduction enforces it).
+// BenchmarkEngineBatchPath measures CheckBatch throughput and allocs/op
+// over a 1k-document mixed corpus in both verdict modes. The documents
+// carry Content, the form the JSON routes hand the engine; a Bytes batch
+// differs by exactly the one conversion per document
+// (TestContentBatchAllocsMatchBytes gates that).
 func BenchmarkEngineBatchPath(b *testing.B) {
 	docs := benchCorpus(1000)
-	byteDocs := asBytes(docs)
 	var bytes int64
 	for _, d := range docs {
 		bytes += int64(len(d.Content))
@@ -54,27 +54,22 @@ func BenchmarkEngineBatchPath(b *testing.B) {
 		name   string
 		pvOnly bool
 	}{{"full", false}, {"pvonly", true}} {
-		for _, path := range []struct {
-			name string
-			docs []Doc
-		}{{"string", docs}, {"bytes", byteDocs}} {
-			b.Run(mode.name+"/"+path.name, func(b *testing.B) {
-				e := New(Config{Workers: 4, PVOnly: mode.pvOnly})
-				s, err := e.Compile(DTDSource, dtd.Play, "play", CompileOptions{})
-				if err != nil {
-					b.Fatal(err)
+		b.Run(mode.name, func(b *testing.B) {
+			e := New(Config{Workers: 4, PVOnly: mode.pvOnly})
+			s, err := e.Compile(DTDSource, dtd.Play, "play", CompileOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(bytes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				results, _ := e.CheckBatch(s, docs)
+				if len(results) != len(docs) {
+					b.Fatal("missing results")
 				}
-				b.SetBytes(bytes)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					results, _ := e.CheckBatch(s, path.docs)
-					if len(results) != len(path.docs) {
-						b.Fatal("missing results")
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -95,11 +90,21 @@ func measureBatchAllocs(tb testing.TB, e *Engine, s *Schema, docs []Doc, rounds 
 	return float64(ms1.Mallocs-ms0.Mallocs) / float64(rounds)
 }
 
-// TestBytePathAllocReduction enforces the X8 acceptance criterion: over a
-// 1k-document mixed corpus, the byte path must allocate at least 30% less
-// per CheckBatch than the string path (in practice the reduction is far
-// larger; 30% is the regression floor).
-func TestBytePathAllocReduction(t *testing.T) {
+// contentAllocSlack is the fixed allowance per batch on top of one
+// conversion per document. runtime.MemStats counts the whole process, and
+// a garbage collection inside the measured rounds empties the sync.Pools,
+// so a batch may rebuild a few pooled checkers (with their frame stacks
+// and recognizers) that the other measurement found warm; under -race the
+// excess over one per document has reached about 65. One more allocation
+// per document would add 1000, so the slack cannot hide that.
+const contentAllocSlack = 200
+
+// TestContentBatchAllocsMatchBytes pins the one-byte-path design: a batch
+// of Content documents is converted to bytes once per document at the API
+// edge and then takes exactly the Bytes path, so over a 1k-document mixed
+// corpus it allocates no more than the same Bytes batch plus one
+// allocation per document (plus contentAllocSlack).
+func TestContentBatchAllocsMatchBytes(t *testing.T) {
 	docs := benchCorpus(1000)
 	byteDocs := asBytes(docs)
 	e := New(Config{Workers: 4})
@@ -107,13 +112,13 @@ func TestBytePathAllocReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strAllocs := measureBatchAllocs(t, e, s, docs, 3)
-	byteAllocs := measureBatchAllocs(t, e, s, byteDocs, 3)
-	t.Logf("allocs per 1k-doc batch: string=%.0f bytes=%.0f (%.1f%% reduction)",
-		strAllocs, byteAllocs, 100*(1-byteAllocs/strAllocs))
-	if byteAllocs > 0.7*strAllocs {
-		t.Errorf("byte path allocates %.0f per batch, string path %.0f — want >=30%% reduction",
-			byteAllocs, strAllocs)
+	contentAllocs := measureBatchAllocs(t, e, s, docs, 5)
+	byteAllocs := measureBatchAllocs(t, e, s, byteDocs, 5)
+	t.Logf("allocs per 1k-doc batch: content=%.0f bytes=%.0f (%+.0f)",
+		contentAllocs, byteAllocs, contentAllocs-byteAllocs)
+	if limit := byteAllocs + float64(len(docs)) + contentAllocSlack; contentAllocs > limit {
+		t.Errorf("Content batch allocates %.0f, Bytes batch %.0f — want at most %.0f (one conversion per document plus %d slack)",
+			contentAllocs, byteAllocs, limit, contentAllocSlack)
 	}
 }
 

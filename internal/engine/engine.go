@@ -56,11 +56,11 @@ func NewSchema(c *core.Schema, v *validator.Validator) *Schema {
 
 // Doc is one batch input: an identifier (a path, a queue key — anything)
 // and the XML content. Content and Bytes are alternatives: when Bytes is
-// non-nil it is the document and the zero-copy byte path checks it without
-// ever materializing a string; otherwise Content is checked on the string
-// path. SchemaRef optionally routes the document to a registry-cached
-// schema (a prefix of Schema.Ref, at least RefMinLen hex digits), letting
-// one batch carry a mixed multi-schema firehose.
+// non-nil it is the document; otherwise Content is, converted to bytes
+// once per call. Either way the document is checked on the one byte path.
+// SchemaRef optionally routes the document to a registry-cached schema (a
+// prefix of Schema.Ref, at least RefMinLen hex digits), letting one batch
+// carry a mixed multi-schema firehose.
 type Doc struct {
 	ID        string `json:"id"`
 	Content   string `json:"content,omitempty"`
@@ -68,13 +68,19 @@ type Doc struct {
 	SchemaRef string `json:"schemaRef,omitempty"`
 }
 
-// Size returns the payload length in bytes.
-func (d *Doc) Size() int {
+// src returns the document's bytes: Bytes when set, else Content converted
+// (one copy, which the compiler elides where the result does not escape,
+// as in Size). Apart from the persisted job payload, which keeps the two
+// fields apart, it is the only engine code that reads Content.
+func (d *Doc) src() []byte {
 	if d.Bytes != nil {
-		return len(d.Bytes)
+		return d.Bytes
 	}
-	return len(d.Content)
+	return []byte(d.Content)
 }
+
+// Size returns the payload length in bytes.
+func (d *Doc) Size() int { return len(d.src()) }
 
 // Result is the verdict for one document. It mirrors the sequential
 // CheckString contract: Err is set for lexical/well-formedness problems (the
@@ -401,16 +407,12 @@ func (e *Engine) Compile(kind SourceKind, src, root string, opts CompileOptions)
 // check runs the verdict for one document on a (reusable) stream checker.
 // The streaming pass settles well-formedness and potential validity in one
 // linear scan; only documents that pass it pay for the tree parse that the
-// full-validity bit needs. Byte documents ride the zero-copy path end to
-// end (RunBytes + ParseBytes); string documents the compatibility path.
+// full-validity bit needs. Both passes read the same bytes (RunBytes +
+// ParseBytes).
 func (e *Engine) check(s *Schema, c *core.StreamChecker, d Doc) Result {
-	res := Result{ID: d.ID, Bytes: d.Size()}
-	var err error
-	if d.Bytes != nil {
-		err = c.RunBytes(d.Bytes)
-	} else {
-		err = c.Run(d.Content)
-	}
+	src := d.src()
+	res := Result{ID: d.ID, Bytes: len(src)}
+	err := c.RunBytes(src)
 	e.harvestFastPath(c)
 	if err != nil {
 		if core.IsViolation(err) {
@@ -432,13 +434,7 @@ func (e *Engine) check(s *Schema, c *core.StreamChecker, d Doc) Result {
 			res.Valid = true
 			return res
 		}
-		var doc *dom.Document
-		var perr error
-		if d.Bytes != nil {
-			doc, perr = dom.ParseBytes(d.Bytes)
-		} else {
-			doc, perr = dom.Parse(d.Content)
-		}
+		doc, perr := dom.ParseBytes(src)
 		if perr != nil {
 			// The stream lexer and the tree parser should agree on
 			// well-formedness (the fuzz targets enforce it); if they ever

@@ -128,16 +128,12 @@ func docLeaf(d *Doc, def *Schema, verdict string, insertions int64) receipt.Leaf
 	if ref == "" && def != nil {
 		ref = def.Ref
 	}
-	content := d.Bytes
-	if content == nil {
-		content = []byte(d.Content)
-	}
 	return receipt.Leaf{
 		DocID:         d.ID,
 		SchemaRef:     ref,
 		Verdict:       verdict,
 		Insertions:    insertions,
-		ContentDigest: receipt.DigestContent(content),
+		ContentDigest: receipt.DigestContent(d.src()),
 	}
 }
 

@@ -207,14 +207,14 @@ func wantReceipt(r *http.Request) bool {
 	return false
 }
 
-// accepted answers an async submission: 202 with the job id and where to
-// poll.
+// accepted answers an async submission: 202 with the job id, its state as
+// of acceptance, and where to poll.
 func accepted(w http.ResponseWriter, j *jobs.Job) {
 	w.Header().Set("Content-Type", "application/json")
 	loc := "/jobs/" + j.ID()
 	w.Header().Set("Location", loc)
 	w.WriteHeader(http.StatusAccepted)
-	info := j.Info()
+	info := j.AcceptedInfo()
 	_ = json.NewEncoder(w).Encode(jobAccepted{
 		JobID: info.ID, State: info.State, Total: info.Total, Location: loc,
 	})

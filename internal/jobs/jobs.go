@@ -352,9 +352,7 @@ func (m *Manager) Close() {
 		// chunks) or to a concurrent Cancel — either way the job still
 		// terminates. persist=false: a shutdown is not a user cancel; on a
 		// durable store the job must replay as interrupted.
-		if j.cancelQueued(false) {
-			m.canceled.Add(1)
-		}
+		j.cancelQueued(false)
 	}
 	// Release the store once the in-flight jobs have observed the stop
 	// signal and finalized — their terminal appends must not race Close.
@@ -549,6 +547,7 @@ func (m *Manager) Submit(kind string, total int, payload []byte, run Runner) (*J
 		done:    make(chan struct{}),
 	}
 	j.state.Store(int32(Queued))
+	j.accepted = j.Info()
 	// Reserve the queue slot before the store append so the QueueDepth
 	// bound stays exact, but run the append — an fsync on a durable store
 	// — outside m.mu so it never stalls Get/List/Stats.
@@ -1062,7 +1061,6 @@ func (m *Manager) runJob(j *Job) {
 			// is not — the job must replay as interrupted so a restarted
 			// manager finishes it.
 			j.finish(Canceled, "", reqCancel)
-			m.canceled.Add(1)
 			return
 		}
 		hi := lo + j.chunk
@@ -1076,7 +1074,6 @@ func (m *Manager) runJob(j *Job) {
 		}
 		if err != nil {
 			j.finish(Failed, err.Error(), true)
-			m.failed.Add(1)
 			return
 		}
 		done := j.doneDocs.Add(int64(hi - lo))
@@ -1095,11 +1092,9 @@ func (m *Manager) runJob(j *Job) {
 	// racing the line below can still lose, which the API documents.
 	if j.cancelReq.Load() {
 		j.finish(Canceled, "", true)
-		m.canceled.Add(1)
 		return
 	}
 	j.finish(Done, "", true)
-	m.completed.Add(1)
 }
 
 // Stats is a snapshot of the manager's gauges and lifetime counters —
@@ -1188,6 +1183,9 @@ type Job struct {
 	// per-document proofs (in-memory only; recomputable, never persisted).
 	receiptRoot string
 	receiptData []byte
+	// accepted is the snapshot Submit takes before the job becomes
+	// visible to workers; zero for recovered jobs.
+	accepted Info
 }
 
 // ID returns the job's identifier.
@@ -1195,6 +1193,11 @@ func (j *Job) ID() string { return j.id }
 
 // State returns the job's current lifecycle state.
 func (j *Job) State() State { return State(j.state.Load()) }
+
+// AcceptedInfo returns the job as Submit accepted it: state Queued,
+// nothing done. A submission reply reports this snapshot, because a worker
+// may claim the job before the reply is written. Zero for recovered jobs.
+func (j *Job) AcceptedInfo() Info { return j.accepted }
 
 // Recovered reports whether this job was replayed from the store by a
 // restarted manager rather than submitted to this process.
@@ -1214,17 +1217,16 @@ func (j *Job) Cancel() bool {
 		// first, it is already out of pending and the worker's own
 		// queued→running CAS won instead.)
 		j.m.removePending(j)
-		j.m.canceled.Add(1)
 		return true
 	}
 	return State(j.state.Load()) == Running
 }
 
-// cancelQueued finalizes a still-queued job as Canceled — the CAS
-// arbitrates against a worker's queued→running claim. persist records the
-// cancellation in the store (true for a user cancel, false for a shutdown,
-// where the job must replay as interrupted). Reports whether this call won
-// the job.
+// cancelQueued finalizes a still-queued job as Canceled and counts it —
+// the CAS arbitrates against a worker's queued→running claim. persist
+// records the cancellation in the store (true for a user cancel, false for
+// a shutdown, where the job must replay as interrupted). Reports whether
+// this call won the job.
 func (j *Job) cancelQueued(persist bool) bool {
 	now := time.Now()
 	j.mu.Lock()
@@ -1237,6 +1239,7 @@ func (j *Job) cancelQueued(persist bool) bool {
 	done := j.doneDocs.Load()
 	rb := j.resultBytes
 	j.mu.Unlock()
+	j.m.canceled.Add(1) // before Done: a waiter's Stats must count the job
 	close(j.done)
 	if persist {
 		j.m.append(&jobstore.Event{
@@ -1266,8 +1269,8 @@ func (m *Manager) removePending(j *Job) {
 // and error commit under one j.mu hold (Info can never see a terminal
 // state without finishedAt), the spill append handle closes, the Runner
 // closure is released (it pins the submitted inputs — for the engine, the
-// whole docs slice — which must not stay live for the retention TTL), and
-// Done is signaled. persist appends the terminal record to the store;
+// whole docs slice — which must not stay live for the retention TTL), the
+// outcome is counted, and Done is signaled. persist appends the terminal record to the store;
 // shutdown-interrupted jobs pass false so a durable log replays them as
 // interrupted instead of canceled.
 func (j *Job) finish(s State, errMsg string, persist bool) {
@@ -1285,6 +1288,16 @@ func (j *Job) finish(s State, errMsg string, persist bool) {
 	rb := j.resultBytes
 	root := j.receiptRoot
 	j.mu.Unlock()
+	// Count the outcome before signaling Done, so a caller woken by Done
+	// reads lifetime counters that already include this job.
+	switch s {
+	case Done:
+		j.m.completed.Add(1)
+	case Failed:
+		j.m.failed.Add(1)
+	case Canceled:
+		j.m.canceled.Add(1)
+	}
 	close(j.done)
 	if persist {
 		j.m.append(&jobstore.Event{

@@ -1,11 +1,10 @@
-// Zero-copy byte-path lexer. ByteLexer recognizes exactly the grammar of
-// Lexer but operates on []byte input and emits tokens whose Name/Data/Attrs
+// Zero-copy byte-path lexer. ByteLexer emits tokens whose Name/Data/Attrs
 // are subslices of the input (or of an internal scratch buffer when entity
 // references force resolution), so the steady-state token loop performs no
-// per-token allocation. The string Lexer remains the compatibility surface;
-// ByteToken.Token and TokenizeBytes are the thin string shims over this
-// path, and FuzzLexBytes plus TestByteLexerMatchesStringLexer pin the two
-// implementations to byte-identical token streams.
+// per-token allocation. ByteToken.Token and TokenizeBytes are the thin
+// string shims over this path; FuzzLexBytes and
+// TestByteLexerMatchesStringLexer pin it to an independent reference lexer
+// kept in the tests.
 package xmltext
 
 import (
@@ -105,7 +104,7 @@ func (l *ByteLexer) Reset(src []byte) {
 }
 
 // TokenizeBytes lexes the entire slice through the zero-copy path and
-// materializes string tokens — byte-for-byte equivalent to Tokenize(string(src)).
+// materializes owning string tokens.
 func TokenizeBytes(src []byte) ([]Token, error) {
 	lx := NewByteLexer(src)
 	var out []Token
@@ -511,8 +510,8 @@ func (l *ByteLexer) skipSpace() {
 
 // charRefValue parses the digits of a numeric character reference in the
 // given base (10 or 16). It is strict — no signs, no trailing garbage, no
-// values beyond the Unicode code space — and shared by both lexers so the
-// string and byte paths agree on every input.
+// values beyond the Unicode code space — and shared with the reference
+// lexer in the tests, so the two agree on every input.
 func charRefValue[S ~string | ~[]byte](digits S, base int32) (rune, bool) {
 	if len(digits) == 0 {
 		return 0, false

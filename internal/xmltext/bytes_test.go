@@ -48,9 +48,9 @@ var differentialInputs = []string{
 	`<a>mixed &#x263A; text</a>`,
 }
 
-// TestByteLexerMatchesStringLexer pins the zero-copy path to the string
-// lexer: identical token streams (kinds, names, data, attributes,
-// positions) and identical errors on every corpus input.
+// TestByteLexerMatchesStringLexer pins the zero-copy lexer to the
+// reference string lexer: identical token streams (kinds, names, data,
+// attributes, positions) and identical errors on every corpus input.
 func TestByteLexerMatchesStringLexer(t *testing.T) {
 	for _, src := range differentialInputs {
 		want, wantErr := Tokenize(src)
@@ -148,24 +148,6 @@ func TestByteLexerScratchReuse(t *testing.T) {
 	}
 	if toks[1].Data != ">text<" {
 		t.Errorf("text = %q, want %q", toks[1].Data, ">text<")
-	}
-}
-
-func BenchmarkLexString(b *testing.B) {
-	src := benchDoc()
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		lx := NewLexer(src)
-		for {
-			tok, err := lx.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if tok == nil {
-				break
-			}
-		}
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 )
 
 // FuzzLexBytes asserts that on arbitrary input the zero-copy byte lexer
-// and the string lexer agree exactly: same token stream (kinds, names,
-// data, attributes, positions) on acceptance, same error text on
-// rejection. The streaming checker's byte fast path and dom.ParseBytes
-// both ride on this equivalence.
+// and the reference string lexer (reflexer_test.go) agree exactly: same
+// token stream (kinds, names, data, attributes, positions) on acceptance,
+// same error text on rejection. Every checker and parser rides on the
+// byte lexer, so this pins it to an independent rendering of the grammar.
 func FuzzLexBytes(f *testing.F) {
 	for _, seed := range differentialInputs {
 		f.Add(seed)

@@ -1,9 +1,27 @@
 package xmltext
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
+
+// smallWindow is the ChunkedLexer window the expectations below also run
+// through: 7 bytes makes nearly every token straddle a refill boundary.
+const smallWindow = 7
+
+// lex tokenizes src with the production byte lexer and, through a
+// smallWindow-byte window, with ChunkedLexer; it fails the test when the
+// two disagree on tokens, positions or error text, and returns the
+// whole-buffer result.
+func lex(t *testing.T, src string) ([]Token, error) {
+	t.Helper()
+	want, wantErr := TokenizeBytes([]byte(src))
+	got, gotErr := tokenizeChunked(strings.NewReader(src), smallWindow)
+	compareChunked(t, src, want, wantErr, got, gotErr)
+	return want, wantErr
+}
 
 func kinds(tokens []Token) []TokenKind {
 	out := make([]TokenKind, len(tokens))
@@ -16,7 +34,7 @@ func kinds(tokens []Token) []TokenKind {
 func TestTokenizeExample1(t *testing.T) {
 	// The w string of Example 1.
 	src := `<r><a><b>A quick brown</b><e></e><c> fox jumps over a lazy</c> dog</a></r>`
-	tokens, err := Tokenize(src)
+	tokens, err := lex(t, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +56,7 @@ func TestTokenizeExample1(t *testing.T) {
 }
 
 func TestSelfClosingTag(t *testing.T) {
-	tokens, err := Tokenize(`<a><e/></a>`)
+	tokens, err := lex(t, `<a><e/></a>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +73,7 @@ func TestSelfClosingTag(t *testing.T) {
 }
 
 func TestAttributes(t *testing.T) {
-	tokens, err := Tokenize(`<a id="x1" lang='en' title="a &lt;b&gt; &amp; c"></a>`)
+	tokens, err := lex(t, `<a id="x1" lang='en' title="a &lt;b&gt; &amp; c"></a>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +85,13 @@ func TestAttributes(t *testing.T) {
 }
 
 func TestDuplicateAttributeRejected(t *testing.T) {
-	if _, err := Tokenize(`<a id="1" id="2"/>`); err == nil {
+	if _, err := lex(t, `<a id="1" id="2"/>`); err == nil {
 		t.Error("expected duplicate-attribute error")
 	}
 }
 
 func TestEntitiesAndCharRefs(t *testing.T) {
-	tokens, err := Tokenize(`<a>&lt;tag&gt; &amp; &#65;&#x42;</a>`)
+	tokens, err := lex(t, `<a>&lt;tag&gt; &amp; &#65;&#x42;</a>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +101,13 @@ func TestEntitiesAndCharRefs(t *testing.T) {
 }
 
 func TestUnknownEntityRejected(t *testing.T) {
-	if _, err := Tokenize(`<a>&nope;</a>`); err == nil {
+	if _, err := lex(t, `<a>&nope;</a>`); err == nil {
 		t.Error("expected unknown-entity error")
 	}
 }
 
 func TestCDATAAndComments(t *testing.T) {
-	tokens, err := Tokenize(`<a><![CDATA[raw <b> & stuff]]><!-- note --><?pi data?></a>`)
+	tokens, err := lex(t, `<a><![CDATA[raw <b> & stuff]]><!-- note --><?pi data?></a>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +127,7 @@ func TestCDATAAndComments(t *testing.T) {
 }
 
 func TestDoctypeSkipped(t *testing.T) {
-	tokens, err := Tokenize(`<!DOCTYPE r SYSTEM "r.dtd" [ <!ELEMENT r ANY> ]><r></r>`)
+	tokens, err := lex(t, `<!DOCTYPE r SYSTEM "r.dtd" [ <!ELEMENT r ANY> ]><r></r>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +138,7 @@ func TestDoctypeSkipped(t *testing.T) {
 }
 
 func TestPositions(t *testing.T) {
-	tokens, err := Tokenize("<a>\n<b></b></a>")
+	tokens, err := lex(t, "<a>\n<b></b></a>")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +162,10 @@ func TestLexErrors(t *testing.T) {
 		"<a>&unterminated",  // entity without semicolon
 	}
 	for _, src := range cases {
-		if _, err := Tokenize(src); err == nil {
-			t.Errorf("Tokenize(%q): expected error", src)
+		_, err := lex(t, src)
+		var se *SyntaxError
+		if !errors.As(err, &se) {
+			t.Errorf("lex(%q): want a *SyntaxError, got %v", src, err)
 		}
 	}
 }
@@ -160,7 +180,7 @@ func TestEscapeHelpers(t *testing.T) {
 }
 
 func TestUnicodeNames(t *testing.T) {
-	tokens, err := Tokenize(`<été>ça</été>`)
+	tokens, err := lex(t, `<été>ça</été>`)
 	if err != nil {
 		t.Fatal(err)
 	}
